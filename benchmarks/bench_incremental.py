@@ -52,7 +52,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bench_service import build_lux_frame  # noqa: E402
-from bench_shared_scan import load_baseline  # noqa: E402
+from gating import comparable, finish  # noqa: E402
 
 from repro import config, config_overlay  # noqa: E402
 from repro.core import pool  # noqa: E402
@@ -74,6 +74,9 @@ METADATA_SCAN_FLOOR = 2.0
 MUTATED_COLUMN = "d1"
 EXPECTED_RERUN = {"Occurrence"}
 EXPECTED_CARRIED = {"Correlation", "Distribution"}
+
+#: Report fields a baseline must share to be comparable (workload shape).
+SHAPE_KEYS = ("benchmark", "mode", "rows")
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_incremental.json"
 
@@ -120,7 +123,10 @@ def measure_passes(
 
     response = session.recommendations(compute=False)
     assert response is not None, "store must hold the final pass"
-    info["origins"] = response["freshness"]["actions"]
+    info["origins"] = {
+        name: entry["origin"]
+        for name, entry in response["provenance"]["actions"].items()
+    }
 
     # Identity: the stored (partially carried) pass must match a true
     # foreground recomputation of the very same version, with the store
@@ -128,7 +134,7 @@ def measure_passes(
     manager.store.drop_session(session.id)
     session.frame.expire_recommendations()
     recomputed = session.recommendations()
-    assert recomputed["freshness"]["origin"] == "foreground"
+    assert recomputed["provenance"]["origin"] == "foreground"
     info["identical"] = recomputed["actions"] == response["actions"]
     manager.close(session.id)
     return min(times), info
@@ -187,15 +193,6 @@ def measure_metadata_scan(rows: int, rounds: int) -> tuple[float, float]:
     return min(full_times), min(delta_times)
 
 
-def comparable(baseline: dict | None, report: dict) -> bool:
-    return (
-        baseline is not None
-        and baseline.get("benchmark") == report["benchmark"]
-        and baseline.get("mode") == report["mode"]
-        and baseline.get("rows") == report["rows"]
-    )
-
-
 def gate(report: dict, baseline: dict | None) -> list[str]:
     failures = list(report["partition_failures"])
     if not report["identical"]:
@@ -214,7 +211,7 @@ def gate(report: dict, baseline: dict | None) -> list[str]:
             f"metadata delta rescan {meta_reduction:.1f}x below the "
             f"{METADATA_SCAN_FLOOR}x floor over a full rescan"
         )
-    if comparable(baseline, report):
+    if comparable(baseline, report, SHAPE_KEYS):
         base = baseline["speedups"]["incremental"]
         if reduction < base * TOLERANCE:
             failures.append(
@@ -338,23 +335,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  GATE FAILED: {failure}")
             return 1
 
-        if args.update_baseline:
-            args.baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.baseline.write_text(
-                json.dumps(report, indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"  wrote baseline {args.baseline}")
-            return 0
-
-        baseline = load_baseline(args.baseline)
-        if not comparable(baseline, report):
-            print("  no comparable baseline; gating on absolute floors")
-        failures = gate(report, baseline)
-        for failure in failures:
-            print(f"  GATE FAILED: {failure}")
-        if not failures:
-            print("  all gates passed")
-        return 1 if failures else 0
+        return finish(report, args.baseline, SHAPE_KEYS, gate, args.update_baseline)
 
 
 if __name__ == "__main__":

@@ -54,7 +54,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bench_shared_scan import build_frame, load_baseline  # noqa: E402
+from bench_shared_scan import build_frame  # noqa: E402
+from gating import comparable, finish  # noqa: E402
 
 from repro import LuxDataFrame, config, config_overlay  # noqa: E402
 from repro.core import pool  # noqa: E402
@@ -75,6 +76,9 @@ RECOVERY_FLOOR = 10.0
 #: Required speedup at 4 workers vs 1 for both precompute wall-clock and
 #: read throughput (gated only on hosts with >= 4 cores).
 SCALING_FLOOR = 1.8
+
+#: Report fields a baseline must share to be comparable (workload shape).
+SHAPE_KEYS = ("benchmark", "mode", "rows")
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_service.json"
 MULTIPROC_BASELINE_PATH = (
@@ -103,7 +107,7 @@ def measure_cold(manager: SessionManager, rows: int, rounds: int) -> float:
         start = time.perf_counter()
         response = session.recommendations()
         times.append(time.perf_counter() - start)
-        assert response["freshness"]["origin"] == "foreground"
+        assert response["provenance"]["origin"] == "foreground"
     manager.close(session.id)
     return min(times)
 
@@ -124,7 +128,7 @@ def measure_precomputed(
         times.append(time.perf_counter() - start)
         # Incremental passes mix recomputed and carried provenance; any
         # of the three store-served origins means zero foreground work.
-        assert response["freshness"]["origin"] in (
+        assert response["provenance"]["origin"] in (
             "precompute",
             "carried",
             "mixed",
@@ -135,7 +139,7 @@ def measure_precomputed(
     manager.store.drop_session(session.id)
     session.frame.expire_recommendations()
     recomputed = session.recommendations()
-    assert recomputed["freshness"]["origin"] == "foreground"
+    assert recomputed["provenance"]["origin"] == "foreground"
     identical = recomputed["actions"] == response["actions"]
     manager.close(session.id)
     return min(times), identical
@@ -159,7 +163,7 @@ def measure_multi_session(
     start = time.perf_counter()
     for i in range(reads):
         response = sessions[i % n_sessions].recommendations()
-        assert response["freshness"]["origin"] != "foreground"
+        assert response["provenance"]["origin"] != "foreground"
     read_wall_s = time.perf_counter() - start
     for session in sessions:
         manager.close(session.id)
@@ -174,14 +178,14 @@ def measure_multi_session(
 # ----------------------------------------------------------------------
 # Multi-process (sharded tier) sections
 # ----------------------------------------------------------------------
-def strip_freshness(response: dict) -> str:
+def strip_provenance(response: dict) -> str:
     # The session id is not part of the payload contract (a cold rebuild
-    # registers fresh ids); freshness carries wall-clock ages.
+    # registers fresh ids); provenance carries wall-clock pass times.
     return json.dumps(
         {
             k: v
             for k, v in response.items()
-            if k not in ("freshness", "session")
+            if k not in ("provenance", "session")
         },
         sort_keys=True,
     )
@@ -279,7 +283,7 @@ def measure_recovery(rows: int, n_sessions: int = 3) -> dict:
             assert manager.engine.wait_idle(600), "recovery prep stalled"
             for sid in ids:
                 references.append(
-                    strip_freshness(manager.get(sid).recommendations())
+                    strip_provenance(manager.get(sid).recommendations())
                 )
             manager.shutdown()  # flushes every session's snapshot
 
@@ -296,7 +300,7 @@ def measure_recovery(rows: int, n_sessions: int = 3) -> dict:
                 )
                 session.mutate("heavy_tail")
                 response = session.recommendations()
-                assert response["freshness"]["origin"] == "foreground"
+                assert response["provenance"]["origin"] == "foreground"
                 cold_responses.append(response)
             cold_s = time.perf_counter() - start
             cold_manager.shutdown()
@@ -317,12 +321,12 @@ def measure_recovery(rows: int, n_sessions: int = 3) -> dict:
         identical = (
             sorted(restored) == sorted(ids)
             and all(
-                r["freshness"]["origin"] != "foreground"
+                r["provenance"]["origin"] != "foreground"
                 for r in warm_responses.values()
             )
-            and [strip_freshness(warm_responses[sid]) for sid in ids]
+            and [strip_provenance(warm_responses[sid]) for sid in ids]
             == references
-            and [strip_freshness(r) for r in cold_responses] == references
+            and [strip_provenance(r) for r in cold_responses] == references
         )
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -355,7 +359,7 @@ def gate_multiproc(report: dict, baseline: dict | None) -> list[str]:
                     f"{metric} {scaling[metric]:.2f}x at 4 workers below "
                     f"the {SCALING_FLOOR}x floor"
                 )
-    if comparable(baseline, report):
+    if comparable(baseline, report, SHAPE_KEYS):
         base = baseline["recovery"]["speedup"]
         if recovery["speedup"] < base * TOLERANCE:
             failures.append(
@@ -438,32 +442,7 @@ def run_multiproc(args: argparse.Namespace) -> int:
         )
         return 1
 
-    if args.update_baseline:
-        args.baseline.parent.mkdir(parents=True, exist_ok=True)
-        args.baseline.write_text(
-            json.dumps(report, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"  wrote baseline {args.baseline}")
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    if not comparable(baseline, report):
-        print("  no comparable baseline; gating on absolute floors")
-    failures = gate_multiproc(report, baseline)
-    for failure in failures:
-        print(f"  GATE FAILED: {failure}")
-    if not failures:
-        print("  all gates passed")
-    return 1 if failures else 0
-
-
-def comparable(baseline: dict | None, report: dict) -> bool:
-    return (
-        baseline is not None
-        and baseline.get("benchmark") == report["benchmark"]
-        and baseline.get("mode") == report["mode"]
-        and baseline.get("rows") == report["rows"]
-    )
+    return finish(report, args.baseline, SHAPE_KEYS, gate_multiproc, args.update_baseline)
 
 
 def gate(report: dict, baseline: dict | None) -> list[str]:
@@ -478,7 +457,7 @@ def gate(report: dict, baseline: dict | None) -> list[str]:
             f"precomputed read speedup {speedup:.1f}x below the "
             f"{PRECOMPUTE_FLOOR}x acceptance floor"
         )
-    if comparable(baseline, report):
+    if comparable(baseline, report, SHAPE_KEYS):
         base = baseline["speedups"]["precompute"]
         if speedup < base * TOLERANCE:
             failures.append(
@@ -573,23 +552,7 @@ def main(argv: list[str] | None = None) -> int:
                   "foreground recomputation")
             return 1
 
-        if args.update_baseline:
-            args.baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.baseline.write_text(
-                json.dumps(report, indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"  wrote baseline {args.baseline}")
-            return 0
-
-        baseline = load_baseline(args.baseline)
-        if not comparable(baseline, report):
-            print("  no comparable baseline; gating on absolute floors")
-        failures = gate(report, baseline)
-        for failure in failures:
-            print(f"  GATE FAILED: {failure}")
-        if not failures:
-            print("  all gates passed")
-        return 1 if failures else 0
+        return finish(report, args.baseline, SHAPE_KEYS, gate, args.update_baseline)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gating import comparable, finish
 from repro import config, config_overlay
 from repro.core.executor.cache import computation_cache
 from repro.core.executor.df_exec import DataFrameExecutor
@@ -63,6 +64,9 @@ CACHE_FLOOR = 1.5
 
 #: Acceptance bar for the parallel condition on multi-core hosts.
 PARALLEL_FLOOR = 1.5
+
+#: Report fields a baseline must share to be comparable (workload shape).
+SHAPE_KEYS = ("benchmark", "mode", "rows", "candidates")
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_shared_scan.json"
 
@@ -148,25 +152,6 @@ def run_pass(frame: DataFrame, condition: str) -> tuple[float, list]:
     return elapsed, results
 
 
-def load_baseline(path: Path) -> dict | None:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
-def comparable(baseline: dict | None, report: dict) -> bool:
-    """Whether the committed baseline measured the same workload shape."""
-    return (
-        baseline is not None
-        and baseline.get("benchmark") == report["benchmark"]
-        and baseline.get("mode") == report["mode"]
-        and baseline.get("rows") == report["rows"]
-        and baseline.get("candidates") == report["candidates"]
-    )
-
-
 def gate(report: dict, baseline: dict | None) -> list[str]:
     """Evaluate every acceptance gate; returns the list of failures."""
     failures: list[str] = []
@@ -181,7 +166,7 @@ def gate(report: dict, baseline: dict | None) -> list[str]:
             f"cache bytes {report['cache_bytes']} exceed budget {budget}"
         )
 
-    if comparable(baseline, report):
+    if comparable(baseline, report, SHAPE_KEYS):
         base_cache = baseline["speedups"]["cache"]
         threshold = base_cache * TOLERANCE
         if speedups["cache"] < threshold:
@@ -197,7 +182,7 @@ def gate(report: dict, baseline: dict | None) -> list[str]:
 
     if report["cpu_count"] >= 4 and report["workers"] >= 2:
         threshold = PARALLEL_FLOOR
-        if comparable(baseline, report) and baseline.get("cpu_count", 0) >= 4:
+        if comparable(baseline, report, SHAPE_KEYS) and baseline.get("cpu_count", 0) >= 4:
             threshold = max(
                 PARALLEL_FLOOR, baseline["speedups"]["parallel"] * TOLERANCE
             )
@@ -298,23 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             print("  GATE FAILED: parallel results differ from serial results")
             return 1
 
-        if args.update_baseline:
-            args.baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.baseline.write_text(
-                json.dumps(report, indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"  wrote baseline {args.baseline}")
-            return 0
-
-        baseline = load_baseline(args.baseline)
-        if not comparable(baseline, report):
-            print("  no comparable baseline; gating on absolute floors")
-        failures = gate(report, baseline)
-        for failure in failures:
-            print(f"  GATE FAILED: {failure}")
-        if not failures:
-            print("  all gates passed")
-        return 1 if failures else 0
+        return finish(report, args.baseline, SHAPE_KEYS, gate, args.update_baseline)
 
 
 if __name__ == "__main__":

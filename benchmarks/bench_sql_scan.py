@@ -43,7 +43,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bench_shared_scan import build_candidates, build_frame, load_baseline  # noqa: E402
+from bench_shared_scan import build_candidates, build_frame  # noqa: E402
+from gating import comparable, finish  # noqa: E402
 
 from repro import config, config_overlay  # noqa: E402
 from repro.core.executor.cache import computation_cache  # noqa: E402
@@ -55,6 +56,9 @@ TOLERANCE = 0.6
 
 #: Acceptance floor when no comparable baseline exists (the PR-3 bar).
 BATCH_FLOOR = 2.0
+
+#: Report fields a baseline must share to be comparable (workload shape).
+SHAPE_KEYS = ("benchmark", "mode", "rows", "candidates")
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_sql_scan.json"
 
@@ -76,17 +80,6 @@ def run_pass(frame: DataFrame, condition: str) -> tuple[float, list]:
     return elapsed, results
 
 
-def comparable(baseline: dict | None, report: dict) -> bool:
-    """Whether the committed baseline measured the same workload shape."""
-    return (
-        baseline is not None
-        and baseline.get("benchmark") == report["benchmark"]
-        and baseline.get("mode") == report["mode"]
-        and baseline.get("rows") == report["rows"]
-        and baseline.get("candidates") == report["candidates"]
-    )
-
-
 def gate(report: dict, baseline: dict | None) -> list[str]:
     """Evaluate every acceptance gate; returns the list of failures."""
     failures: list[str] = []
@@ -95,7 +88,7 @@ def gate(report: dict, baseline: dict | None) -> list[str]:
     if not report["identical"]:
         failures.append("batched results differ from per-spec results")
 
-    if comparable(baseline, report):
+    if comparable(baseline, report, SHAPE_KEYS):
         base = baseline["speedups"]["batch"]
         threshold = base * TOLERANCE
         if speedup < threshold:
@@ -189,23 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             print("  GATE FAILED: batched results differ from per-spec results")
             return 1
 
-        if args.update_baseline:
-            args.baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.baseline.write_text(
-                json.dumps(report, indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"  wrote baseline {args.baseline}")
-            return 0
-
-        baseline = load_baseline(args.baseline)
-        if not comparable(baseline, report):
-            print("  no comparable baseline; gating on absolute floors")
-        failures = gate(report, baseline)
-        for failure in failures:
-            print(f"  GATE FAILED: {failure}")
-        if not failures:
-            print("  all gates passed")
-        return 1 if failures else 0
+        return finish(report, args.baseline, SHAPE_KEYS, gate, args.update_baseline)
 
 
 if __name__ == "__main__":

@@ -35,6 +35,11 @@ python -m tools.check src --json CHECK_report.json
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== service example smoke =="
+# The documented example end to end, in-process and over HTTP, so it
+# cannot drift from the /v1/ wire shape.
+python examples/service_api.py
+
 echo "== shared-scan benchmark gate =="
 python benchmarks/bench_shared_scan.py --quick --out BENCH_shared_scan.json
 

@@ -15,14 +15,14 @@ Quickstart (in-process)::
     session.frame["derived"] = session.frame["a"] * 2   # triggers precompute
     manager.engine.wait_idle()
     response = session.recommendations()                # store hit: no executor
-    assert response["freshness"]["origin"] == "precompute"
+    assert response["provenance"]["origin"] == "precompute"
 
 Quickstart (HTTP)::
 
     PYTHONPATH=src python -m repro.service.http_api --port 8080
-    curl -X POST localhost:8080/sessions -d '{"dataset": "hpi"}'
-    curl localhost:8080/sessions/<id>/recommendations
-    curl localhost:8080/healthz
+    curl -X POST localhost:8080/v1/sessions -d '{"dataset": "hpi"}'
+    curl localhost:8080/v1/sessions/<id>/recommendations
+    curl localhost:8080/v1/healthz
 
 Scaling out: ``--shards N`` (or ``config.service_shards``) serves the
 same HTTP surface from N worker *processes*, sessions routed by a

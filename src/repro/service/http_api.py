@@ -11,34 +11,43 @@ modes — clients cannot tell how many processes serve them.
 
 Endpoints
 ---------
-``POST /sessions``
+Every route lives under the ``/v1/`` prefix; a path without it answers
+404 and has no side effects.
+
+``POST /v1/sessions``
     Create a session.  JSON body fields: ``dataset`` (a bundled generator:
     hpi | airbnb | covid | communities, or a load-test scenario
     ``synthetic-{wide,highcard,skewed,datetime,nullheavy}``) *or*
     ``csv`` (inline CSV text);
     optional ``rows`` (airbnb size), ``config`` (per-session overlay, e.g.
     ``{"top_k": 5}``), ``intent``.  Returns the session info.
-``GET /sessions`` / ``GET /sessions/{id}``
+``GET /v1/sessions`` / ``GET /v1/sessions/{id}``
     List session ids / one session's info.
-``POST /sessions/{id}/intent``
+``POST /v1/sessions/{id}/intent``
     Body ``{"intent": [...]}`` (empty/null clears).  Steers the session
     and re-arms its background pass.
-``POST /sessions/{id}/mutate``
+``POST /v1/sessions/{id}/mutate``
     Body ``{"column": name}`` touches the column (content no-op that
     bumps the data version — the load harness's write op); with
     ``"values": [...]`` the column is assigned (or created) from the
     list.  Returns the session info at the new version.
-``GET /sessions/{id}/recommendations[?action=Enhance]``
-    Specs + scores + freshness.  Served from the versioned store when the
-    precompute engine already ran at the current version, computed in the
-    foreground otherwise.  ``freshness.origin`` is ``precompute`` /
-    ``foreground`` / ``carried`` (incrementally carried forward because
-    the action's inputs did not change) / ``mixed`` (an incremental pass
-    combining recomputed and carried actions); ``freshness.actions`` maps
-    each action to its own provenance.
-``DELETE /sessions/{id}``
+``GET /v1/sessions/{id}/recommendations[?action=Enhance]``
+    Specs + scores + the typed ``provenance`` envelope (see
+    :mod:`repro.service.provenance`).  Served from the versioned store
+    when the precompute engine already ran at the current version,
+    computed in the foreground otherwise.  ``provenance.origin`` is
+    ``precompute`` / ``foreground`` / ``carried`` (incrementally carried
+    forward because the action's inputs did not change) / ``mixed`` (an
+    incremental pass combining recomputed and carried results);
+    ``provenance.actions`` maps each action to its own origin and, for a
+    partially rerun action, per-vis origins.
+``GET /v1/sessions/{id}/trace[?limit=N]``
+    The session's recent telemetry spans.
+``DELETE /v1/sessions/{id}``
     Close the session, freeing its store entries and watches.
-``GET /healthz``
+``GET /v1/metrics``
+    Prometheus text exposition of the telemetry registry.
+``GET /v1/healthz``
     Liveness + pool / computation-cache / store / engine statistics,
     including the precompute backlog depth against its bound and the
     pool's per-band/per-tag queue depths.  In shard mode the top-level
@@ -59,9 +68,9 @@ restarts crashed workers, which recover warm from session snapshots.
 
 Authentication: when ``config.service_auth_token`` (or the explicit
 ``auth_token`` constructor/CLI override) is non-empty, every route except
-``/healthz`` requires ``Authorization: Bearer <token>`` and answers 401
-otherwise.  An empty token (the default) disables the check for local,
-single-user notebooks.
+``/v1/healthz`` and ``/v1/metrics`` requires ``Authorization: Bearer
+<token>`` and answers 401 otherwise.  An empty token (the default)
+disables the check for local, single-user notebooks.
 
 Run standalone::
 
@@ -111,40 +120,9 @@ __all__ = [
 
 _SESSION_PATH = re.compile(r"^/sessions/([0-9a-zA-Z_-]+)(/[a-z_]+)?$")
 
-#: Versioned API prefix.  ``/v1/...`` is the canonical surface; the
-#: unprefixed paths below remain as deprecated aliases so existing
-#: clients keep working unchanged.
+#: API prefix.  ``/v1/...`` is the only HTTP surface: ``_resolve`` strips
+#: it before routing and answers 404 to any path without it.
 V1_PREFIX = "/v1"
-
-#: Legacy (unprefixed) route template -> canonical ``/v1/`` successor.
-#: Requests matching a left-hand template still serve their historical
-#: response shape and additionally carry ``Deprecation: true`` plus a
-#: ``Link: <successor>; rel="successor-version"`` header.  The only
-#: *behavioral* difference between the surfaces is the recommendations
-#: response: ``/v1/`` serves the typed ``provenance`` envelope where the
-#: legacy route serves the frozen ``freshness`` dict.
-LEGACY_ALIASES = {
-    "/healthz": "/v1/healthz",
-    "/metrics": "/v1/metrics",
-    "/sessions": "/v1/sessions",
-    "/sessions/{id}": "/v1/sessions/{id}",
-    "/sessions/{id}/intent": "/v1/sessions/{id}/intent",
-    "/sessions/{id}/mutate": "/v1/sessions/{id}/mutate",
-    "/sessions/{id}/recommendations": "/v1/sessions/{id}/recommendations",
-    "/sessions/{id}/trace": "/v1/sessions/{id}/trace",
-}
-
-
-def _legacy_template(path: str) -> str | None:
-    """The alias-table template a concrete legacy path matches, if any."""
-    if path in LEGACY_ALIASES:
-        return path
-    match = _SESSION_PATH.match(path)
-    if match:
-        template = "/sessions/{id}" + (match.group(2) or "")
-        if template in LEGACY_ALIASES:
-            return template
-    return None
 
 # The HTTP layer's client-error type is the transport-neutral one the
 # shard vocabulary defines, so worker-side errors cross the pipe and land
@@ -246,12 +224,10 @@ class LocalBackend:
         apply_mutate_body(session, body)
         return session.info()
 
-    def recommendations(
-        self, session_id: str, action: str | None, v1: bool = False
-    ) -> dict[str, Any]:
+    def recommendations(self, session_id: str, action: str | None) -> dict[str, Any]:
         session = self.manager.get(session_id)
         try:
-            return session.recommendations(action=action, v1=v1)
+            return session.recommendations(action=action)
         except KeyError:
             raise _ApiError(404, f"no such action: {action!r}") from None
 
@@ -298,10 +274,8 @@ class ShardBackend:
     def mutate(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
         return self.supervisor.mutate(session_id, body)
 
-    def recommendations(
-        self, session_id: str, action: str | None, v1: bool = False
-    ) -> str:
-        return self.supervisor.recommendations(session_id, action, v1=v1)
+    def recommendations(self, session_id: str, action: str | None) -> str:
+        return self.supervisor.recommendations(session_id, action)
 
     def shutdown(self) -> None:
         self.supervisor.stop()
@@ -341,12 +315,6 @@ class _Handler(BaseHTTPRequestHandler):
             data = json.dumps(body).encode("utf-8")
         self._status_sent = status
         extra = dict(headers or {})
-        successor = getattr(self, "_deprecated_successor", None)
-        if successor is not None:
-            # RFC 8594-style deprecation advertisement on the legacy
-            # (unprefixed) alias surface, pointing at the /v1/ route.
-            extra.setdefault("Deprecation", "true")
-            extra.setdefault("Link", f'<{successor}>; rel="successor-version"')
         content_type = extra.pop("Content-Type", "application/json")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
@@ -396,8 +364,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._body_cache = None
         self._route_name = "unrouted"
         self._status_sent = 0
-        self._v1 = False
-        self._deprecated_successor: str | None = None
         started = time.perf_counter()
         with telemetry.span(
             "http.request", method=method, path=self.path
@@ -447,15 +413,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _resolve(self, method: str) -> tuple[Callable[..., Any], tuple]:
         path, _, query = self.path.partition("?")
         params = _parse_query(query)
-        if path.startswith(V1_PREFIX + "/"):
-            self._v1 = True
-            path = path[len(V1_PREFIX):]
-        else:
-            # Unprefixed surface: serve it if (and only if) the alias
-            # table lists it, and stamp the deprecation headers.
-            template = _legacy_template(path)
-            if template is not None:
-                self._deprecated_successor = LEGACY_ALIASES[template]
+        if not path.startswith(V1_PREFIX + "/"):
+            raise _ApiError(404, f"no route for {method} {path}")
+        path = path[len(V1_PREFIX):]
         if path == "/healthz" and method == "GET":
             return self._healthz, ()
         if path == "/metrics" and method == "GET":
@@ -549,7 +509,7 @@ class _Handler(BaseHTTPRequestHandler):
         self, session_id: str, params: dict[str, str]
     ) -> tuple[int, "dict[str, Any] | str"]:
         return 200, self.server.backend.recommendations(
-            session_id, params.get("action"), v1=self._v1
+            session_id, params.get("action")
         )
 
     @measured("trace")
@@ -647,8 +607,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--auth-token",
         default=None,
-        help="Bearer token required on every route except /healthz "
-        "(default: config.service_auth_token; empty disables auth)",
+        help="Bearer token required on every route except /v1/healthz and "
+        "/v1/metrics (default: config.service_auth_token; empty disables auth)",
     )
     parser.add_argument(
         "--shards",

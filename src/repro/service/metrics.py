@@ -348,7 +348,9 @@ def register_service_gauges(manager: Any) -> None:
         ("result",),
     )
     for key in ("completed", "cancelled", "failed", "shed", "deferred", "rejected"):
-        passes.set_function(_dict_reader(engine._counters, key), (key,))
+        # The documented ``shed`` label counts the engine's ``shed_stale``.
+        counter = "shed_stale" if key == "shed" else key
+        passes.set_function(_dict_reader(engine._counters, counter), (key,))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -2,11 +2,9 @@
 
 One :class:`Provenance` object describes where a response's results came
 from — per pass, per action, and (for candidate-level partial reruns) per
-vis.  It is the single source of truth for freshness metadata: the legacy
-(unprefixed) HTTP surface renders it as the historical ``freshness`` dict
-(byte-identical to what ad-hoc construction produced, so existing clients
-and the load harness's identity gates see no change), while the ``/v1/``
-surface serializes the full typed shape via :meth:`Provenance.to_payload`.
+vis.  It is the single source of truth for freshness metadata, and
+:meth:`Provenance.to_payload` is its only wire rendering: every
+recommendations response carries it under ``provenance``.
 
 Because the envelope is built where the response is built (inside the
 worker in shard mode) and crosses the shard RPC inside the pre-serialized
@@ -30,7 +28,6 @@ Origin vocabulary
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -90,7 +87,7 @@ class Provenance:
         )
 
     def to_payload(self) -> dict[str, Any]:
-        """The ``/v1/`` wire shape (pinned by the golden wire-shape test)."""
+        """The wire shape (pinned by the golden wire-shape test)."""
         return {
             "origin": self.origin,
             "computed_at": self.computed_at,
@@ -99,17 +96,4 @@ class Provenance:
             "actions": {
                 name: ap.to_payload() for name, ap in self.actions.items()
             },
-        }
-
-    def legacy_freshness(self) -> dict[str, Any]:
-        """The historical ``freshness`` dict, shape-frozen for old clients.
-
-        Must stay byte-identical to what the pre-envelope code emitted:
-        the unprefixed routes' identity gates compare these bytes across
-        load conditions.
-        """
-        return {
-            "origin": self.origin,
-            "age_s": round(time.time() - (self.computed_at or time.time()), 3),
-            "actions": {name: ap.origin for name, ap in self.actions.items()},
         }

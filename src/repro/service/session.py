@@ -165,26 +165,26 @@ class Session:
     ) -> dict[str, Any] | None:
         """Recommendations at the frame's current version, store-first.
 
-        Returns a response dict with per-action payloads and freshness
-        provenance.  When the store holds a complete pass at the current
-        version the call performs no executor work at all; otherwise (and
-        only when ``compute`` is True) a foreground pass runs under this
-        session's overlay and back-fills the store.  ``action`` narrows
-        the response to one action (``KeyError`` when no such action
-        exists for this frame); ``compute=False`` returns None on a store
-        miss (the probe the benchmarks and tests use).  ``v1`` selects the
-        typed ``provenance`` envelope instead of the legacy ``freshness``
-        dict — same payloads, richer (per-vis) provenance.
+        Returns a response dict with per-action payloads and the typed
+        ``provenance`` envelope.  When the store holds a complete pass at
+        the current version the call performs no executor work at all;
+        otherwise (and only when ``compute`` is True) a foreground pass
+        runs under this session's overlay and back-fills the store.
+        ``action`` narrows the response to one action (``KeyError`` when
+        no such action exists for this frame); ``compute=False`` returns
+        None on a store miss (the probe the benchmarks and tests use).
+        ``v1`` is accepted and ignored, so callers that still pass the
+        retired wire-shape flag keep working: every response carries
+        ``provenance``.
         """
         with telemetry.span("session.read", session=self.id) as read_span:
-            response = self._recommendations_inner(action, compute, v1)
+            response = self._recommendations_inner(action, compute)
             if response is not None:
-                envelope = response.get("provenance") or response["freshness"]
-                read_span.attrs["origin"] = envelope["origin"]
+                read_span.attrs["origin"] = response["provenance"]["origin"]
             return response
 
     def _recommendations_inner(
-        self, action: str | None, compute: bool, v1: bool = False
+        self, action: str | None, compute: bool
     ) -> dict[str, Any] | None:
         self._hydrate_results()
         version = self.version
@@ -198,13 +198,13 @@ class Session:
             )
             if manifest is not None and action not in manifest["payload"]:
                 raise KeyError(f"no such action: {action!r}")
-        stored = self._read_store(version, action, v1)
+        stored = self._read_store(version, action)
         if stored is not None:
             return stored
         if not compute:
             return None
         self._compute_foreground(version)
-        stored = self._read_store(self.version, action, v1)
+        stored = self._read_store(self.version, action)
         if stored is not None:
             return stored
         # Store rejected the payload (budget) or the frame mutated while
@@ -214,7 +214,7 @@ class Session:
             if action not in payloads:
                 raise KeyError(f"no such action: {action!r}")
             payloads = {action: payloads[action]}
-        return self._respond(self.version, payloads, origin="foreground", v1=v1)
+        return self._respond(self.version, payloads, origin="foreground")
 
     def _hydrate_results(self) -> None:
         """Load snapshotted pass results into the store, exactly once.
@@ -248,7 +248,7 @@ class Session:
                 )
 
     def _read_store(
-        self, version: tuple[int, int], action: str | None, v1: bool = False
+        self, version: tuple[int, int], action: str | None
     ) -> dict[str, Any] | None:
         if self.store is None:
             return None
@@ -281,7 +281,6 @@ class Session:
             computed_at=oldest,
             origins=origins,
             vis_origins=vis_origins or None,
-            v1=v1,
         )
 
     def _respond(
@@ -292,11 +291,7 @@ class Session:
         computed_at: float | None = None,
         origins: dict[str, str] | None = None,
         vis_origins: "dict[str, dict[str, str]] | None" = None,
-        v1: bool = False,
     ) -> dict[str, Any]:
-        # One typed envelope feeds both wire shapes: the legacy surface
-        # renders it as the historical "freshness" dict, /v1/ serializes
-        # the full per-action / per-vis structure.
         provenance = Provenance.build(
             version,
             payloads,
@@ -305,16 +300,12 @@ class Session:
             origins=origins,
             vis_origins=vis_origins,
         )
-        response = {
+        return {
             "session": self.id,
             "data_version": list(version),
             "actions": payloads,
+            "provenance": provenance.to_payload(),
         }
-        if v1:
-            response["provenance"] = provenance.to_payload()
-        else:
-            response["freshness"] = provenance.legacy_freshness()
-        return response
 
     # ------------------------------------------------------------------
     def _compute_foreground(self, version: tuple[int, int]) -> None:

@@ -153,7 +153,7 @@ def _datasets() -> dict[str, Callable[..., Any]]:
 def create_session_from_body(
     manager: SessionManager, body: dict[str, Any]
 ) -> Session:
-    """The ``POST /sessions`` body -> a registered session.
+    """The ``POST /v1/sessions`` body -> a registered session.
 
     Shared by the single-process backend and the worker so a create
     behaves identically on both sides of the pipe.  ``session_id`` is the
@@ -376,9 +376,7 @@ class ShardService:
         session = self._session(params)
         action = params.get("action")
         try:
-            response = session.recommendations(
-                action=action, v1=bool(params.get("v1"))
-            )
+            response = session.recommendations(action=action)
         except KeyError:
             raise RequestError(404, f"no such action: {action!r}") from None
         # Pre-serialized passthrough: the supervisor forwards these bytes

@@ -249,8 +249,8 @@ class ResultStore:
         (payload + origin + ``computed_at``) next to the frame snapshot;
         on the first read after a restart this re-inserts them verbatim —
         origins stay ``precompute``/``carried``/``mixed``, ``computed_at``
-        stays the original pass time (so ``freshness.age_s`` reports the
-        true staleness across the restart, not zero).  Returns True when
+        stays the original pass time (so ``provenance.computed_at``
+        reports the true staleness across the restart, not zero).  Returns True when
         the manifest landed, i.e. the pass is servable whole.
         """
         for action, record in records.items():
@@ -324,7 +324,7 @@ class ResultStore:
         """One action's stored record at exactly ``version``, or None.
 
         The returned dict wraps the payload with provenance (``origin``,
-        ``computed_at``) so the API can report freshness.
+        ``computed_at``) so the API can report provenance.
         """
         key = self._key(session_id, version, action)
         with self._lock:

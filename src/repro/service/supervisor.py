@@ -335,18 +335,16 @@ class Supervisor:
         return self._worker_for(session_id).request("mutate", params)
 
     def recommendations(
-        self, session_id: str, action: str | None = None, v1: bool = False
+        self, session_id: str, action: str | None = None
     ) -> str:
         """The recommendation payload as a pre-serialized JSON string.
 
-        ``v1`` rides the RPC so the worker builds the typed provenance
-        envelope itself — the supervisor forwards the bytes untouched, so
-        the /v1/ wire shape is identical in-process and behind the shard
-        tier.
+        The worker builds the provenance envelope itself and the
+        supervisor forwards the bytes untouched, so the wire shape is
+        identical in-process and behind the shard tier.
         """
         result = self._worker_for(session_id).request(
-            "recommendations",
-            {"session": session_id, "action": action, "v1": v1},
+            "recommendations", {"session": session_id, "action": action}
         )
         return result["payload_json"]
 

@@ -1,4 +1,4 @@
-"""Observability surface: /metrics, /healthz summaries, /sessions/{id}/trace.
+"""Observability surface: /v1/metrics, /v1/healthz, /v1/sessions/{id}/trace.
 
 Fast tests cover the frame codec's trace envelope passthrough (both the
 plain and NUL-hoisted paths).  The ``slow`` tests boot real servers: the
@@ -11,13 +11,15 @@ bucket-wise sum of the per-worker snapshots.
 from __future__ import annotations
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro import config
+from repro import LuxDataFrame, config, register_action, remove_action
 from repro.core import telemetry
+from repro.core.vislist import VisList
 from repro.service import Supervisor, make_server
 from repro.service import metrics as service_metrics
 from repro.service.shard import decode_frame, encode_frame
@@ -108,16 +110,16 @@ def server():
 class TestMetricsEndpoint:
     def test_scrape_parses_and_counts_requests(self, server):
         base = server.address
-        status, body, _ = call(base, "POST", "/sessions", {"csv": CSV})
+        status, body, _ = call(base, "POST", "/v1/sessions", {"csv": CSV})
         assert status == 201
         sid = json.loads(body)["session"]
         for _ in range(3):
             status, _, _ = call(
-                base, "GET", f"/sessions/{sid}/recommendations"
+                base, "GET", f"/v1/sessions/{sid}/recommendations"
             )
             assert status == 200
 
-        status, text, headers = call(base, "GET", "/metrics")
+        status, text, headers = call(base, "GET", "/v1/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
         parsed = parse_metrics(text)
@@ -147,10 +149,10 @@ class TestMetricsEndpoint:
         # Live service gauges are present.
         assert "lux_sessions" in parsed and "lux_store_bytes" in parsed
 
-        call(base, "DELETE", f"/sessions/{sid}")
+        call(base, "DELETE", f"/v1/sessions/{sid}")
 
     def test_metrics_cli_accepts_a_real_scrape(self, server, tmp_path):
-        _, text, _ = call(server.address, "GET", "/metrics")
+        _, text, _ = call(server.address, "GET", "/v1/metrics")
         snapshot = tmp_path / "snap.txt"
         snapshot.write_text(text)
         assert service_metrics.main([str(snapshot)]) == 0
@@ -163,34 +165,70 @@ class TestMetricsEndpoint:
 
     def test_healthz_reports_latency_summaries(self, server):
         base = server.address
-        status, body, _ = call(base, "POST", "/sessions", {"csv": CSV})
+        status, body, _ = call(base, "POST", "/v1/sessions", {"csv": CSV})
         sid = json.loads(body)["session"]
-        call(base, "GET", f"/sessions/{sid}/recommendations")
-        _, health_text, _ = call(base, "GET", "/healthz")
+        call(base, "GET", f"/v1/sessions/{sid}/recommendations")
+        _, health_text, _ = call(base, "GET", "/v1/healthz")
         telemetry_section = json.loads(health_text)["telemetry"]
         assert "http" in telemetry_section
         route_summary = next(iter(telemetry_section["http"].values()))
         assert route_summary["count"] >= 1
         assert route_summary["p50_ms"] >= 0.0
-        call(base, "DELETE", f"/sessions/{sid}")
+        call(base, "DELETE", f"/v1/sessions/{sid}")
 
     def test_trace_endpoint_returns_spans_and_404s(self, server):
         base = server.address
-        status, body, _ = call(base, "POST", "/sessions", {"csv": CSV})
+        status, body, _ = call(base, "POST", "/v1/sessions", {"csv": CSV})
         sid = json.loads(body)["session"]
-        call(base, "GET", f"/sessions/{sid}/recommendations")
-        status, trace_text, _ = call(base, "GET", f"/sessions/{sid}/trace")
+        call(base, "GET", f"/v1/sessions/{sid}/recommendations")
+        status, trace_text, _ = call(base, "GET", f"/v1/sessions/{sid}/trace")
         assert status == 200
         spans = json.loads(trace_text)["spans"]
         assert spans and all(s["attrs"]["session"] == sid for s in spans)
         assert {"trace_id", "span_id", "name", "duration_ms"} <= set(spans[0])
-        status, _, _ = call(base, "GET", "/sessions/ghost/trace")
+        status, _, _ = call(base, "GET", "/v1/sessions/ghost/trace")
         assert status == 404
         status, trace_text, _ = call(
-            base, "GET", f"/sessions/{sid}/trace?limit=1"
+            base, "GET", f"/v1/sessions/{sid}/trace?limit=1"
         )
         assert len(json.loads(trace_text)["spans"]) == 1
-        call(base, "DELETE", f"/sessions/{sid}")
+        call(base, "DELETE", f"/v1/sessions/{sid}")
+
+
+    def test_shed_passes_are_counted(self, server):
+        """``result="shed"`` mirrors the engine's ``shed_stale`` counter."""
+        config.precompute = False
+        config.precompute_queue_limit = 1
+        started = threading.Event()
+        gate = threading.Event()
+
+        def blocking_action(ldf):
+            started.set()
+            gate.wait(15)
+            return VisList(visualizations=[])
+
+        register_action(
+            "Blocker", blocking_action, condition=lambda ldf: "a" in ldf.columns
+        )
+        engine = server.manager.engine
+        try:
+            session = server.manager.create(
+                LuxDataFrame({"a": [1.0, 2.0, 3.0], "b": ["x", "y", "x"]})
+            )
+            engine.schedule(session, immediate=True)
+            assert started.wait(30)
+            # The frame moves on, so admit() sheds the blocked stale pass.
+            session.frame["extra"] = session.frame["a"]
+            engine.admit()
+            _, text, _ = call(server.address, "GET", "/v1/metrics")
+            shed = parse_metrics(text)["lux_precompute_passes_total"][
+                'result="shed"'
+            ]
+            assert shed == engine.stats()["shed_stale"] >= 1
+        finally:
+            gate.set()
+            remove_action("Blocker")
+            assert engine.wait_idle(60)
 
 
 @pytest.mark.slow
@@ -200,19 +238,19 @@ class TestAuthPosture:
         srv = make_server(auth_token=TOKEN).serve_background()
         try:
             base = srv.address
-            status, _, _ = call(base, "GET", "/metrics")
+            status, _, _ = call(base, "GET", "/v1/metrics")
             assert status == 200  # public, like /healthz
             status, body, _ = call(
-                base, "POST", "/sessions", {"csv": CSV}, token=TOKEN
+                base, "POST", "/v1/sessions", {"csv": CSV}, token=TOKEN
             )
             sid = json.loads(body)["session"]
-            status, _, _ = call(base, "GET", f"/sessions/{sid}/trace")
+            status, _, _ = call(base, "GET", f"/v1/sessions/{sid}/trace")
             assert status == 401
             status, _, _ = call(
-                base, "GET", f"/sessions/{sid}/trace", token=TOKEN
+                base, "GET", f"/v1/sessions/{sid}/trace", token=TOKEN
             )
             assert status == 200
-            call(base, "DELETE", f"/sessions/{sid}", token=TOKEN)
+            call(base, "DELETE", f"/v1/sessions/{sid}", token=TOKEN)
         finally:
             srv.manager.shutdown()
             srv.stop()
@@ -230,11 +268,11 @@ class TestShardedObservability:
         srv = make_server(supervisor=supervisor).serve_background()
         try:
             base = srv.address
-            status, body, _ = call(base, "POST", "/sessions", {"csv": CSV})
+            status, body, _ = call(base, "POST", "/v1/sessions", {"csv": CSV})
             assert status == 201
             sid = json.loads(body)["session"]
             status, _, read_headers = call(
-                base, "GET", f"/sessions/{sid}/recommendations"
+                base, "GET", f"/v1/sessions/{sid}/recommendations"
             )
             assert status == 200
 
@@ -243,7 +281,7 @@ class TestShardedObservability:
             # to the client as X-Request-Id).
             trace_id = read_headers["X-Request-Id"]
             status, trace_text, _ = call(
-                base, "GET", f"/sessions/{sid}/trace"
+                base, "GET", f"/v1/sessions/{sid}/trace"
             )
             assert status == 200
             spans = json.loads(trace_text)["spans"]
@@ -273,11 +311,11 @@ class TestShardedObservability:
             assert manual[name] == merged[name]
             assert merged["lux_worker_up"]["values"] == {"0": 1.0, "1": 1.0}
 
-            status, text, _ = call(base, "GET", "/metrics")
+            status, text, _ = call(base, "GET", "/v1/metrics")
             assert status == 200
             rendered = service_metrics.parse_exposition(text)
             assert any(n == "lux_rpc_handle_seconds_count" for n, _, _ in rendered)
-            call(base, "DELETE", f"/sessions/{sid}")
+            call(base, "DELETE", f"/v1/sessions/{sid}")
         finally:
             srv.stop()
             supervisor.stop()

@@ -117,7 +117,7 @@ class TestSession:
         config.precompute = False
         session = manager.create(make_frame())
         first = session.recommendations()
-        assert first["freshness"]["origin"] == "foreground"
+        assert first["provenance"]["origin"] == "foreground"
         again = session.recommendations(compute=False)
         assert again is not None
         assert again["actions"] == first["actions"]
@@ -197,7 +197,7 @@ class TestAlwaysOn:
         assert calls["n"] == 0, "store hit must not touch the executor"
         # "mixed" when the initial pass landed before the mutation (the
         # redo then carries the unaffected actions forward).
-        assert response["freshness"]["origin"] in ("precompute", "mixed")
+        assert response["provenance"]["origin"] in ("precompute", "mixed")
         # In-process prints are free too: the pass refreshed the frame's
         # memoized recommendation cache.
         assert session.frame._recs_fresh
@@ -207,7 +207,7 @@ class TestAlwaysOn:
         session = manager.create(make_frame())
         session.frame["derived"] = session.frame["q0"] * 2
         response = session.recommendations()
-        assert response["freshness"]["origin"] == "foreground"
+        assert response["provenance"]["origin"] == "foreground"
 
     @pytest.mark.slow
     def test_concurrent_sessions_bit_identical_to_serial(self, manager):
@@ -232,7 +232,7 @@ class TestAlwaysOn:
 
         for k, session in sessions.items():
             response = session.recommendations()
-            assert response["freshness"]["origin"] != "foreground"
+            assert response["provenance"]["origin"] != "foreground"
             reference = make_frame(seed=7)
             reference["derived"] = reference["q0"] * 2
             reference["flag"] = (reference["q1"] > 2).astype("int64")

@@ -2,16 +2,14 @@
 
 Two contracts are pinned here:
 
-* **Golden wire shapes.**  The v1 ``provenance`` payload and the legacy
-  ``freshness`` dict are both rendered from one :class:`Provenance`
-  object; these tests freeze both shapes so neither can drift without a
-  deliberate edit.  The v1 shape must also be identical whether the
-  response is produced in-process or crosses the shard RPC (the
-  ``payload_json`` passthrough).
+* **Golden wire shape.**  The ``provenance`` payload is rendered from
+  one :class:`Provenance` object; these tests freeze its shape so it
+  cannot drift without a deliberate edit.  The response bytes must also
+  be identical whether they are produced in-process or cross the shard
+  RPC (the ``payload_json`` passthrough).
 
-* **Deprecation policy.**  Unprefixed routes keep working byte-for-byte
-  but advertise their ``/v1/`` successor via ``Deprecation`` and
-  ``Link`` headers (RFC 8594 style); ``/v1/`` routes carry neither.
+* **One surface.**  ``/v1/`` is the only HTTP surface: a path without
+  the prefix answers 404 and has no side effects.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import pytest
 from repro import config
 from repro.core.config import config_overlay
 from repro.service import make_server
-from repro.service.provenance import ActionProvenance, Provenance
+from repro.service.provenance import Provenance
 from repro.service.shard import ShardService
 from repro.service.session import SessionManager
 
@@ -59,25 +57,6 @@ class TestProvenanceEnvelope:
                 },
             },
         }
-
-    def test_legacy_freshness_golden_shape(self):
-        """The historical dict: origin / age_s / flat per-action origins.
-
-        Per-vis detail must NOT leak into the legacy shape — old clients
-        (and the load harness's identity gates) compare these bytes.
-        """
-        prov = Provenance(
-            origin="foreground",
-            computed_at=None,
-            data_version=1,
-            intent_epoch=0,
-            actions={"Enhance": ActionProvenance("foreground", {"k": "carried"})},
-        )
-        legacy = prov.legacy_freshness()
-        assert set(legacy) == {"origin", "age_s", "actions"}
-        assert legacy["origin"] == "foreground"
-        assert legacy["actions"] == {"Enhance": "foreground"}
-        assert isinstance(legacy["age_s"], float)
 
     def test_round_trips_through_json(self):
         prov = Provenance.build(
@@ -140,15 +119,11 @@ class TestV1Surface:
         status, closed, _ = call(server, "DELETE", f"/v1/sessions/{sid}")
         assert status == 200 and closed["closed"] == sid
 
-    def test_v1_serves_provenance_legacy_serves_freshness(self, server):
-        status, info, _ = call(server, "POST", "/sessions", {"csv": CSV})
+    def test_v1_serves_provenance(self, server):
+        status, info, _ = call(server, "POST", "/v1/sessions", {"csv": CSV})
         assert status == 201
         sid = info["session"]
         assert server.manager.engine.wait_idle(30)
-
-        _, legacy, _ = call(server, "GET", f"/sessions/{sid}/recommendations")
-        assert "freshness" in legacy and "provenance" not in legacy
-        assert set(legacy["freshness"]) == {"origin", "age_s", "actions"}
 
         _, v1, _ = call(server, "GET", f"/v1/sessions/{sid}/recommendations")
         assert "provenance" in v1 and "freshness" not in v1
@@ -160,53 +135,25 @@ class TestV1Surface:
         assert prov["data_version"] == 0 and prov["intent_epoch"] == 0
         for entry in prov["actions"].values():
             assert set(entry) == {"origin", "vis"}
-        # Identical per-action origins on both surfaces; per-vis keys (when
-        # present) must match the displayed specs' echoed candidate keys.
-        assert legacy["freshness"]["actions"] == {
-            name: entry["origin"] for name, entry in prov["actions"].items()
-        }
+        # Per-vis keys (when present) must match the displayed specs'
+        # echoed candidate keys.
         for name, entry in prov["actions"].items():
             if entry["vis"] is not None:
                 spec_keys = {s["key"] for s in v1["actions"][name]["specs"]}
                 assert set(entry["vis"]) <= spec_keys
-        # Non-freshness content is byte-identical across the two surfaces.
-        strip = lambda r: {
-            k: v for k, v in r.items() if k not in ("freshness", "provenance")
-        }
-        assert json.dumps(strip(legacy), sort_keys=True) == json.dumps(
-            strip(v1), sort_keys=True
-        )
 
-    def test_legacy_routes_emit_deprecation_headers(self, server):
-        status, _, headers = call(server, "GET", "/healthz")
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert headers.get("Link") == '</v1/healthz>; rel="successor-version"'
-
-        status, info, headers = call(server, "POST", "/sessions", {"csv": CSV})
-        assert status == 201 and headers.get("Deprecation") == "true"
-        sid = info["session"]
-
-        _, _, headers = call(server, "GET", f"/sessions/{sid}/recommendations")
-        assert headers.get("Deprecation") == "true"
-        assert (
-            headers.get("Link")
-            == '</v1/sessions/{id}/recommendations>; rel="successor-version"'
-        )
-
-    def test_v1_routes_carry_no_deprecation_headers(self, server):
-        status, _, headers = call(server, "GET", "/v1/healthz")
-        assert status == 200
-        assert "Deprecation" not in headers and "Link" not in headers
-
-        status, info, headers = call(
-            server, "POST", "/v1/sessions", {"csv": CSV}
-        )
-        assert status == 201 and "Deprecation" not in headers
-        _, _, headers = call(
-            server, "GET", f"/v1/sessions/{info['session']}/recommendations"
-        )
-        assert "Deprecation" not in headers
+    def test_unprefixed_routes_are_404_without_side_effects(self, server):
+        engine = server.manager.engine
+        before = engine.stats()
+        for method, path, body in (
+            ("GET", "/healthz", None),
+            ("POST", "/sessions", {"csv": CSV}),
+            ("GET", "/sessions/whatever/recommendations", None),
+        ):
+            status, err, _ = call(server, method, path, body)
+            assert status == 404 and "error" in err, (method, path)
+        assert server.manager.ids() == []
+        assert engine.stats() == before  # nothing watched, armed or run
 
     def test_unknown_v1_route_is_404(self, server):
         status, err, _ = call(server, "GET", "/v1/nope")
@@ -216,13 +163,12 @@ class TestV1Surface:
 # ----------------------------------------------------------------------
 # Shard RPC passthrough
 # ----------------------------------------------------------------------
-def test_v1_flag_crosses_shard_rpc():
+def test_shard_rpc_payload_matches_in_process():
     """The worker serializes the envelope; the supervisor never re-parses.
 
-    Same dispatcher, with and without the flag: the v1 response must
-    carry the typed ``provenance`` object and the legacy response the
-    ``freshness`` dict — i.e. the wire shape is decided worker-side and
-    survives the ``payload_json`` passthrough unchanged.
+    The RPC's ``payload_json`` must be exactly the in-process response's
+    JSON for the same session at the same version, so the wire bytes are
+    identical whether or not a shard boundary sits in between.
     """
     with config_overlay(precompute_debounce_s=0.0):
         manager = SessionManager()
@@ -236,24 +182,15 @@ def test_v1_flag_crosses_shard_rpc():
             )
             sid = created["result"]["session"]
             manager.engine.wait_idle(30)
+            session = manager.get(sid)
+            version = session.version
 
-            legacy = service.handle(
+            rpc = service.handle(
                 {"method": "recommendations", "params": {"session": sid}}
             )
-            payload = json.loads(legacy["result"]["payload_json"])
-            assert "freshness" in payload and "provenance" not in payload
-
-            v1 = service.handle(
-                {
-                    "method": "recommendations",
-                    "params": {"session": sid, "v1": True},
-                }
-            )
-            payload = json.loads(v1["result"]["payload_json"])
-            assert "provenance" in payload and "freshness" not in payload
-            assert set(payload["provenance"]) == {
-                "origin", "computed_at", "data_version", "intent_epoch",
-                "actions",
-            }
+            payload_json = rpc["result"]["payload_json"]
+            assert session.version == version
+            assert payload_json == json.dumps(session.recommendations())
+            assert "provenance" in json.loads(payload_json)
         finally:
             manager.shutdown()
